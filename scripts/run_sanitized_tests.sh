@@ -69,7 +69,11 @@ cmake -B "${build}" -S "${root}" \
 # at arbitrary cancellation checks) — the soak's interleavings are the
 # densest TSan workload in the repo, and a leaked grant or a job result
 # published without its lock is invisible to the release run.
-targets=(minimpi_test parallel_test faults_test elastic_test checkpoint_test examl_test site_repeats_test obs_test partitioned_test sdc_test gradient_test stream_test c_api_test memory_test service_test)
+# general_test and cat_test ride along: the general newview keeps register
+# tiles over padded state rows and cuts wide rows into lane chunks, and the
+# CAT kernels index per-site rate tables — a chunk offset or padding lane
+# one past the row is an out-of-bounds read only ASan sees.
+targets=(minimpi_test parallel_test faults_test elastic_test checkpoint_test examl_test site_repeats_test obs_test partitioned_test sdc_test gradient_test stream_test c_api_test memory_test service_test general_test cat_test)
 cmake --build "${build}" -j "$(nproc)" --target "${targets[@]}"
 
 status=0

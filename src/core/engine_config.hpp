@@ -9,6 +9,7 @@
 // seam instead of naming concrete engine types.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -94,5 +95,23 @@ struct EngineConfig {
   /// machinery that recomputes CLAs.  Dense DNA engine only.
   bool site_repeats = false;
 };
+
+/// Bytes of one CLA buffer: `sites` blocks of `block_doubles` doubles plus
+/// one int32 scale count per site.
+inline std::int64_t cla_buffer_bytes(std::int64_t sites, std::int64_t block_doubles) {
+  return sites * (block_doubles * static_cast<std::int64_t>(sizeof(double)) +
+                  static_cast<std::int64_t>(sizeof(std::int32_t)));
+}
+
+/// Fewest CLA buffers an engine runs with (its "minimum working set"): a
+/// newview pins both children and the parent.
+inline int min_working_set_buffers(int inner_count) { return std::min(inner_count, 3); }
+
+/// The minimum working set in bytes — what every engine's budget check
+/// demands and what the service never degrades a grant below.
+inline std::int64_t min_working_set_bytes(std::int64_t sites, std::int64_t block_doubles,
+                                          int inner_count) {
+  return min_working_set_buffers(inner_count) * cla_buffer_bytes(sites, block_doubles);
+}
 
 }  // namespace miniphi::core

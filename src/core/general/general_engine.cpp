@@ -59,18 +59,16 @@ GeneralEngine::GeneralEngine(const bio::PatternSet& patterns, const model::Gener
   if (config.cla_buffers < 0 && config.cla_budget_bytes > 0) {
     // Byte-denominated budget (the C-API resource negotiation speaks bytes):
     // derive the buffer count from this slice's per-buffer footprint.
-    const std::int64_t bytes_per_buffer =
-        length_ * dims_.block() * static_cast<std::int64_t>(sizeof(double)) +
-        length_ * static_cast<std::int64_t>(sizeof(std::int32_t));
+    const std::int64_t bytes_per_buffer = cla_buffer_bytes(length_, dims_.block());
     budget = static_cast<int>(
         std::min<std::int64_t>(inner_count, config.cla_budget_bytes / bytes_per_buffer));
-    MINIPHI_CHECK(budget >= std::min(inner_count, 3),
+    MINIPHI_CHECK(budget >= min_working_set_buffers(inner_count),
                   "general engine: cla_budget_bytes cannot fit the minimum working set (" +
-                      std::to_string(std::min(inner_count, 3)) + " CLA buffers of " +
+                      std::to_string(min_working_set_buffers(inner_count)) + " CLA buffers of " +
                       std::to_string(bytes_per_buffer) + " bytes each)");
   }
   budget = std::min(budget, inner_count);
-  MINIPHI_CHECK(budget >= std::min(inner_count, 3),
+  MINIPHI_CHECK(budget >= min_working_set_buffers(inner_count),
                 "general engine: cla_buffers budget must be at least 3 (got " +
                     std::to_string(budget) + ")");
   clas_.resize(static_cast<std::size_t>(inner_count));

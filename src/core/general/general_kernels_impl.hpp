@@ -2,18 +2,25 @@
 // the SIMD pack width (W = 1 gives the scalar reference; W = 4 / 8 are
 // instantiated in translation units compiled with the matching -m flags).
 //
-// The inner loops are AXPY-style over the padded per-rate rows, which are
-// contiguous and 64-byte aligned; Pack<1> degenerates to clean scalar code,
-// so one implementation serves as both reference and vectorized version
-// (they are compared against each other in tests anyway, with W=1 compiled
-// without any vector flags).
+// newview keeps each S-long state transform in a tile of Pack<W> registers
+// (paper Section V-B1/B3: the state loop stays in registers, FMAs only, no
+// memory traffic between steps).  The tile is sized at compile time from
+// NV = padded / W; rows wider than kTileVectors are cut into lane chunks,
+// each running the full state loop.  Every output lane sees the same FMA
+// sequence in the same order (zero coefficients skipped) whatever tile or
+// chunk it falls in, so tiling never changes a bit of the result.  Pack<1>
+// degenerates to clean scalar code, so one implementation serves as both
+// reference and vectorized version.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
+#include <utility>
 
 #include "src/core/general/general_kernels.hpp"
 #include "src/simd/pack.hpp"
+#include "src/util/error.hpp"
 
 namespace miniphi::core {
 
@@ -22,36 +29,70 @@ struct GeneralSimdKernels {
   using P = simd::Pack<W>;
   static_assert(kMaxPaddedStates % W == 0);
 
-  /// acc[0..padded) += coef * row[0..padded)
-  static inline void axpy(double coef, const double* row, double* acc, int padded) {
-    const P coefficient = P::broadcast(coef);
-    for (int i = 0; i < padded; i += W) {
-      P::fma(coefficient, P::load(row + i), P::load(acc + i)).store(acc + i);
+  /// Accumulators per lane chunk: eight plus a broadcast and a row load fit
+  /// the 16 vector registers of AVX2 and SSE2; on AVX-512 (32 registers)
+  /// eight vectors already span kMaxPaddedStates, so it never chunks.  The
+  /// tile loops carry `#pragma GCC unroll` so the tile arrays become
+  /// registers at -O2 as well as -O3.
+  static constexpr int kTileVectors = 8;
+
+  /// Calls f(std::integral_constant<int, T>, lane) for the lane chunks that
+  /// cover an NV-vector row, in increasing lane order.
+  template <int NV, typename F>
+  static inline void for_each_chunk(F&& f) {
+    constexpr int kTile = std::min(NV, kTileVectors);
+    for (int chunk = 0; chunk + kTile <= NV; chunk += kTile) {
+      f(std::integral_constant<int, kTile>{}, chunk * W);
+    }
+    if constexpr (NV % kTile != 0) {
+      f(std::integral_constant<int, NV % kTile>{}, (NV - NV % kTile) * W);
     }
   }
 
-  /// One child transform for one rate: out[i] = Σ_k y[k] · ptable[k-row][i].
-  static inline void transform_rate(const double* ptable_rate, const double* y, double* out,
-                                    int states, int padded) {
-    for (int i = 0; i < padded; i += W) P::zero().store(out + i);
-    for (int k = 0; k < states; ++k) {
-      const double coef = y[k];
-      if (coef != 0.0) axpy(coef, ptable_rate + static_cast<std::ptrdiff_t>(k) * padded, out, padded);
+  /// acc[j] = Σ_k coef[k] · rows[k·padded + j·W], k < nrows, skipping zero
+  /// coefficients; `rows` already points at the chunk's first lane.
+  template <int T>
+  static inline void transform_tile(const double* rows, const double* coef, int nrows,
+                                    int padded, P (&acc)[T]) {
+#pragma GCC unroll 8
+    for (int j = 0; j < T; ++j) acc[j] = P::zero();
+    for (int k = 0; k < nrows; ++k) {
+      const double value = coef[k];
+      if (value == 0.0) continue;
+      const P broadcast = P::broadcast(value);
+      const double* row = rows + static_cast<std::ptrdiff_t>(k) * padded;
+#pragma GCC unroll 8
+      for (int j = 0; j < T; ++j) acc[j] = P::fma(broadcast, P::load(row + j * W), acc[j]);
     }
   }
 
-  static void newview(GNewviewCtx& ctx) {
+  /// One child's rate-c vector over the chunk starting at `lane`: the tip
+  /// table row, or the transform of the child CLA through its P matrix.
+  template <int T>
+  static inline void child_tile(const GChildInput& child, const GeneralDims& dims,
+                                std::int64_t s, int c, int lane, P (&acc)[T]) {
+    const int padded = dims.padded;
+    if (child.is_tip()) {
+      const double* row =
+          child.ump + (static_cast<std::ptrdiff_t>(child.codes[s]) * dims.rates + c) * padded;
+#pragma GCC unroll 8
+      for (int j = 0; j < T; ++j) acc[j] = P::load(row + lane + j * W);
+    } else {
+      transform_tile(child.ptable + static_cast<std::ptrdiff_t>(c) * dims.states * padded + lane,
+                     child.cla + s * dims.block() + static_cast<std::ptrdiff_t>(c) * padded,
+                     dims.states, padded, acc);
+    }
+  }
+
+  template <int NV>
+  static void newview_tiled(GNewviewCtx& ctx) {
     const GeneralDims dims = ctx.dims;
     const int padded = dims.padded;
-    const int states = dims.states;
     const int block = dims.block();
     const bool stream = ctx.tuning.streaming_stores;
     const std::int64_t dist = ctx.tuning.prefetch_distance;
 
-    alignas(64) double a[kMaxPaddedStates];
-    alignas(64) double b[kMaxPaddedStates];
     alignas(64) double x3[kMaxPaddedStates];
-    alignas(64) double y3[kMaxPaddedStates];
 
     for (std::int64_t s = ctx.begin; s < ctx.end; ++s) {
       if (dist > 0 && s + dist < ctx.end) {
@@ -62,50 +103,39 @@ struct GeneralSimdKernels {
       double max_abs = 0.0;
       double* out = ctx.parent_cla + s * block;
       for (int c = 0; c < dims.rates; ++c) {
-        const double* av;
-        const double* bv;
-        if (ctx.left.is_tip()) {
-          av = ctx.left.ump +
-               (static_cast<std::ptrdiff_t>(ctx.left.codes[s]) * dims.rates + c) * padded;
-        } else {
-          transform_rate(ctx.left.ptable + static_cast<std::ptrdiff_t>(c) * states * padded,
-                         ctx.left.cla + s * block + static_cast<std::ptrdiff_t>(c) * padded, a,
-                         states, padded);
-          av = a;
-        }
-        if (ctx.right.is_tip()) {
-          bv = ctx.right.ump +
-               (static_cast<std::ptrdiff_t>(ctx.right.codes[s]) * dims.rates + c) * padded;
-        } else {
-          transform_rate(ctx.right.ptable + static_cast<std::ptrdiff_t>(c) * states * padded,
-                         ctx.right.cla + s * block + static_cast<std::ptrdiff_t>(c) * padded, b,
-                         states, padded);
-          bv = b;
-        }
-
-        for (int i = 0; i < padded; i += W) {
-          (P::load(av + i) * P::load(bv + i)).store(x3 + i);
-        }
-
-        // y3 = W x3 (AXPY over eigen rows; padding lanes of wtable are 0).
-        for (int k = 0; k < padded; k += W) P::zero().store(y3 + k);
-        for (int i = 0; i < states; ++i) {
-          const double coef = x3[i];
-          if (coef != 0.0) {
-            axpy(coef, ctx.wtable + static_cast<std::ptrdiff_t>(i) * padded, y3, padded);
+        // x3 = a ∘ b, chunk by chunk.
+        for_each_chunk<NV>([&](auto tile, int lane) {
+          constexpr int T = decltype(tile)::value;
+          P acc[T];
+          child_tile(ctx.left, dims, s, c, lane, acc);
+#pragma GCC unroll 8
+          for (int j = 0; j < T; ++j) acc[j].store(x3 + lane + j * W);
+          child_tile(ctx.right, dims, s, c, lane, acc);
+#pragma GCC unroll 8
+          for (int j = 0; j < T; ++j) {
+            (P::load(x3 + lane + j * W) * acc[j]).store(x3 + lane + j * W);
           }
-        }
+        });
 
-        P vmax = P::abs(P::load(y3));
-        for (int k = W; k < padded; k += W) vmax = P::max(vmax, P::abs(P::load(y3 + k)));
-        max_abs = std::max(max_abs, vmax.horizontal_max());
-
+        // y3 = W x3 over eigen rows (padding lanes of wtable are 0).
+        // max(0, |y|) == |y| bit for bit, so the zero start changes nothing.
+        P vmax = P::zero();
         double* out_rate = out + static_cast<std::ptrdiff_t>(c) * padded;
-        if (stream) {
-          for (int k = 0; k < padded; k += W) P::load(y3 + k).stream(out_rate + k);
-        } else {
-          for (int k = 0; k < padded; k += W) P::load(y3 + k).store(out_rate + k);
-        }
+        for_each_chunk<NV>([&](auto tile, int lane) {
+          constexpr int T = decltype(tile)::value;
+          P acc[T];
+          transform_tile(ctx.wtable + lane, x3, dims.states, padded, acc);
+#pragma GCC unroll 8
+          for (int j = 0; j < T; ++j) {
+            vmax = P::max(vmax, P::abs(acc[j]));
+            if (stream) {
+              acc[j].stream(out_rate + lane + j * W);
+            } else {
+              acc[j].store(out_rate + lane + j * W);
+            }
+          }
+        });
+        max_abs = std::max(max_abs, vmax.horizontal_max());
       }
 
       std::int32_t increment = 0;
@@ -120,6 +150,19 @@ struct GeneralSimdKernels {
       ctx.parent_scale[s] = left_scale + right_scale + increment;
     }
     if (stream) simd::stream_fence();
+  }
+
+  /// Tile dispatch: one instantiation per padded width 8, 16, ..., 64.
+  template <int... M>
+  static void newview_dispatch(GNewviewCtx& ctx, std::integer_sequence<int, M...>) {
+    const bool found =
+        ((ctx.dims.padded == 8 * (M + 1) && (newview_tiled<8 * (M + 1) / W>(ctx), true)) || ...);
+    MINIPHI_CHECK(found, "general newview: padded state count must be a multiple of 8 up to " +
+                             std::to_string(kMaxPaddedStates));
+  }
+
+  static void newview(GNewviewCtx& ctx) {
+    newview_dispatch(ctx, std::make_integer_sequence<int, kMaxPaddedStates / 8>{});
   }
 
   static double evaluate(const GEvaluateCtx& ctx) {

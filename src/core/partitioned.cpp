@@ -52,14 +52,12 @@ std::vector<int> carve_cla_budgets(std::int64_t budget_bytes,
                                    int inner_count) {
   MINIPHI_CHECK(budget_bytes > 0, "carve_cla_budgets: budget must be positive");
   const auto n = partition_lengths.size();
-  const int floor_buffers = std::min(inner_count, 3);
+  const int floor_buffers = min_working_set_buffers(inner_count);
   std::vector<std::int64_t> bytes_per_buffer(n);
   std::vector<int> counts(n, floor_buffers);
   std::int64_t need = 0;
   for (std::size_t p = 0; p < n; ++p) {
-    bytes_per_buffer[p] =
-        partition_lengths[p] * (kSiteBlock * static_cast<std::int64_t>(sizeof(double)) +
-                                static_cast<std::int64_t>(sizeof(std::int32_t)));
+    bytes_per_buffer[p] = cla_buffer_bytes(partition_lengths[p], kSiteBlock);
     need += floor_buffers * bytes_per_buffer[p];
   }
   MINIPHI_CHECK(budget_bytes >= need,

@@ -25,15 +25,16 @@ void strip_trailing_cr(std::string& line) {
   if (!line.empty() && line.back() == '\r') line.pop_back();
 }
 
-/// Accepted sequence characters: the IUPAC nucleotide alphabet plus the
-/// gap/unknown symbols the bio layer encodes (mirrors bio/dna.cpp, which io
-/// cannot include — the dependency points the other way).
+/// Accepted sequence characters: the union of the IUPAC nucleotide and
+/// amino-acid alphabets (together every letter) plus the gap/unknown/stop
+/// symbols.  Whether a letter belongs to the alignment's alphabet is the
+/// bio layer's call (bio::encode_sequence / encode_aa_sequence), as with
+/// PHYLIP: io cannot know which alphabet the caller will decode with.
 constexpr std::array<bool, 256> build_iupac_table() {
   std::array<bool, 256> table{};
-  const char* accepted = "acgturyswkmbdhvnxoACGTURYSWKMBDHVNXO-?.*";
-  for (const char* c = accepted; *c != '\0'; ++c) {
-    table[static_cast<unsigned char>(*c)] = true;
-  }
+  for (char c = 'a'; c <= 'z'; ++c) table[static_cast<unsigned char>(c)] = true;
+  for (char c = 'A'; c <= 'Z'; ++c) table[static_cast<unsigned char>(c)] = true;
+  for (const char* c = "-?.*"; *c != '\0'; ++c) table[static_cast<unsigned char>(*c)] = true;
   return table;
 }
 

@@ -13,7 +13,9 @@ namespace miniphi::io {
 /// ignored; sequence lines are concatenated.  Throws io::ParseError (a
 /// miniphi::Error carrying 1-based line/column) on structural problems:
 /// data before the first header, empty or duplicate names, truncated
-/// records with no sequence, and non-IUPAC sequence characters.
+/// records with no sequence, and non-IUPAC sequence characters (anything
+/// but letters and "-?.*"; the nucleotide or amino-acid alphabet itself is
+/// checked by the bio layer's encoders).
 SequenceSet read_fasta(std::istream& in);
 
 /// Convenience overload reading from a file path.

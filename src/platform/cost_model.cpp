@@ -51,6 +51,45 @@ KernelProfile kernel_profile(core::TraceKernel kernel, bool left_tip, bool right
   return profile;
 }
 
+KernelProfile general_kernel_profile(core::TraceKernel kernel, int states, int rates,
+                                     bool left_tip, bool right_tip) {
+  MINIPHI_CHECK(states >= 2 && rates >= 1, "general_kernel_profile: need >= 2 states, >= 1 rate");
+  const double padded = static_cast<double>((states + 7) / 8 * 8);
+  const double block = padded * rates;
+  const double block_bytes = block * 8.0;
+  const double left_read = left_tip ? kTipCodeBytes : block_bytes + kScaleBytes;
+  const double right_read = right_tip ? kTipCodeBytes : block_bytes + kScaleBytes;
+  KernelProfile profile;
+  switch (kernel) {
+    case core::TraceKernel::kNewview: {
+      // Per rate: S rows × padded lanes of FMAs (2 flops) per inner child's
+      // transform and again for the W back-transform, plus x3 = a∘b.
+      const double transform = 2.0 * states * padded * rates;
+      profile.flops = transform * ((left_tip ? 0 : 1) + (right_tip ? 0 : 1) + 1) + block;
+      profile.bytes_read = left_read + right_read;
+      profile.bytes_written = block_bytes + kScaleBytes;
+      break;
+    }
+    case core::TraceKernel::kEvaluate:
+      // One FMA per lane against the tip table, or a multiply and an FMA
+      // against the diagonal; then the log and scale epilogue.
+      profile.flops = (right_tip ? 2.0 : 3.0) * block + 25.0;
+      profile.bytes_read = block_bytes + kScaleBytes + right_read;
+      break;
+    case core::TraceKernel::kDerivSum:
+      profile.flops = block;
+      profile.bytes_read = block_bytes + (right_tip ? kTipCodeBytes : block_bytes);
+      profile.bytes_written = block_bytes;
+      break;
+    case core::TraceKernel::kDerivCore:
+      // Three block-long dot products + the scalar epilogue.
+      profile.flops = 6.0 * block + 10.0;
+      profile.bytes_read = block_bytes;
+      break;
+  }
+  return profile;
+}
+
 double call_seconds(const ExecConfig& config, core::TraceKernel kernel, bool left_tip,
                     bool right_tip, std::int64_t sites) {
   const PlatformSpec& platform = config.platform;

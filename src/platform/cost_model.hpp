@@ -37,6 +37,14 @@ struct KernelProfile {
 /// Footprint for DNA + Γ(4): 16-double site blocks.
 KernelProfile kernel_profile(core::TraceKernel kernel, bool left_tip, bool right_tip);
 
+/// Footprint of the general-state kernels (src/core/general) for `states`
+/// states under `rates` Γ categories.  Counts the work the kernels execute:
+/// rows are padded to a multiple of 8 lanes and padding lanes are computed
+/// too; zero coefficients the newview skips still count, so newview flops
+/// are an upper bound for sparse inputs.
+KernelProfile general_kernel_profile(core::TraceKernel kernel, int states, int rates,
+                                     bool left_tip, bool right_tip);
+
 /// One execution configuration of Table III (a platform × card count).
 struct ExecConfig {
   PlatformSpec platform;

@@ -26,6 +26,16 @@ std::uint64_t chaos_stream(std::uint64_t seed, std::int64_t job_id) {
   return seed ^ (0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(job_id + 1));
 }
 
+/// Bytes below which the job's evaluator cannot be built (the engines'
+/// "minimum working set" check).  Partitioned jobs count uncompressed
+/// sites, an upper bound on the compressed partitions the engines carve.
+std::int64_t job_min_working_set(const JobRequest& request, const tree::Tree& tree) {
+  const auto sites = request.options.partitions > 1
+                         ? static_cast<std::int64_t>(request.alignment->site_count())
+                         : static_cast<std::int64_t>(request.patterns->pattern_count());
+  return core::min_working_set_bytes(sites, core::kSiteBlock, tree.inner_count());
+}
+
 }  // namespace
 
 struct EvaluationService::Tenant {
@@ -284,10 +294,16 @@ std::int64_t EvaluationService::reserve_budget(Job& job, bool& degraded) {
   degraded = false;
   const std::int64_t want = job.request.options.cla_budget_bytes;
   if (config_.cla_budget_bytes <= 0 || want <= 0) return want;  // ungoverned
+  // The derived floor never drops below the job's minimum working set: a
+  // smaller grant could only fail in the engine, so the job waits instead.
+  // (Capped by the request and the total, so a job that can never fit still
+  // fails in the engine's own check.)
   const std::int64_t floor =
       config_.degrade_floor_bytes > 0
           ? std::min<std::int64_t>(want, config_.degrade_floor_bytes)
-          : std::max<std::int64_t>(1, want / 4);
+          : std::max<std::int64_t>({1, want / 4,
+                                    std::min({job_min_working_set(job.request, job.tree), want,
+                                              config_.cla_budget_bytes})});
   MINIPHI_CHECK(floor <= config_.cla_budget_bytes,
                 "service: job degrade floor (" + std::to_string(floor) +
                     " bytes) exceeds the global CLA budget (" +

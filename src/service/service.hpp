@@ -94,10 +94,11 @@ struct ServiceConfig {
   /// cannot cover a request the job degrades down to `degrade_floor_bytes`
   /// instead of failing, and below the floor it waits for a release.
   std::int64_t cla_budget_bytes = 0;
-  /// Smallest degraded grant.  0 derives a quarter of the job's request.
-  /// A floor below the engine's minimum working set fails the job with a
-  /// structured error (the engine's "minimum working set" check), never
-  /// the process.
+  /// Smallest degraded grant.  0 derives a quarter of the job's request,
+  /// raised to the job's minimum working set (core::min_working_set_bytes)
+  /// so a derived grant never fails the engine.  An explicit floor below
+  /// the minimum working set fails the job with a structured error (the
+  /// engine's "minimum working set" check), never the process.
   std::int64_t degrade_floor_bytes = 0;
   /// Evaluator rebuilds per job after a CorruptionDetected escalation
   /// escapes the engine heal ladder, before the job fails as kCorrupt.

@@ -11,12 +11,14 @@
 #include "src/bio/aa.hpp"
 #include "src/bio/protein_alignment.hpp"
 #include "src/core/general/general_engine.hpp"
+#include "src/core/general/general_kernels.hpp"
 #include "src/model/general.hpp"
 #include "src/search/model_optimizer.hpp"
 #include "src/search/spr_search.hpp"
 #include "src/simulate/simulate.hpp"
 #include "src/tree/parsimony.hpp"
 #include "src/tree/splits.hpp"
+#include "src/util/aligned.hpp"
 #include "src/util/error.hpp"
 #include "tests/testutil.hpp"
 
@@ -521,6 +523,201 @@ TEST(GeneralEngine, OpenMpHybridModeMatchesSerial) {
   EXPECT_NEAR(s1, p1, std::abs(s1) * 1e-10 + 1e-8);
   EXPECT_NEAR(s2, p2, std::abs(s2) * 1e-10 + 1e-8);
 }
+
+// ------------------------------------------------------- general kernels --
+
+/// Random inputs of one general newview call; padding lanes are zero, as
+/// the table builders guarantee.
+struct GeneralNewviewData {
+  core::GeneralDims dims;
+  AlignedDoubles cla[2];
+  std::vector<std::int32_t> scale[2];
+  std::vector<std::uint8_t> codes[2];
+  AlignedDoubles ptable[2];
+  AlignedDoubles ump[2];
+  AlignedDoubles wtable;
+};
+
+constexpr int kTestCodes = 23;
+
+GeneralNewviewData make_newview_data(int states, std::int64_t sites, Rng& rng) {
+  GeneralNewviewData data;
+  data.dims.states = states;
+  data.dims.padded = (states + 7) / 8 * 8;
+  const int padded = data.dims.padded;
+  const int block = data.dims.block();
+  // Row-major [rows][padded] with zero padding lanes and ~10 % exact zeros
+  // (the kernel skips zero coefficients).
+  const auto fill = [&](AlignedDoubles& out, std::int64_t rows) {
+    out.assign(static_cast<std::size_t>(rows * padded), 0.0);
+    for (std::int64_t r = 0; r < rows; ++r) {
+      for (int i = 0; i < states; ++i) {
+        const double value = rng.uniform() < 0.1 ? 0.0 : rng.uniform(-1.0, 1.0);
+        out[static_cast<std::size_t>(r * padded + i)] = value;
+      }
+    }
+  };
+  for (int side = 0; side < 2; ++side) {
+    fill(data.cla[side], sites * data.dims.rates);
+    // Every fourth site shrinks far enough that the parent must rescale.
+    for (std::int64_t s = 0; s < sites; s += 4) {
+      for (int k = 0; k < block; ++k) {
+        data.cla[side][static_cast<std::size_t>(s * block + k)] *= 1e-45;
+      }
+    }
+    fill(data.ptable[side], static_cast<std::int64_t>(data.dims.rates) * states);
+    fill(data.ump[side], static_cast<std::int64_t>(kTestCodes) * data.dims.rates);
+    for (std::int64_t s = 0; s < sites; ++s) {
+      data.scale[side].push_back(static_cast<std::int32_t>(rng.below(3)));
+      data.codes[side].push_back(static_cast<std::uint8_t>(rng.below(kTestCodes)));
+    }
+  }
+  fill(data.wtable, states);
+  return data;
+}
+
+/// Plain scalar newview straight from the definitions in general_kernels.hpp.
+/// Returns the number of sites it rescaled.
+int reference_newview(const GeneralNewviewData& data, const bool tip[2], std::int64_t begin,
+                       std::int64_t end, std::vector<double>& out,
+                       std::vector<std::int32_t>& out_scale) {
+  const int states = data.dims.states;
+  const int padded = data.dims.padded;
+  const int rates = data.dims.rates;
+  const int block = data.dims.block();
+  std::vector<double> child[2];
+  int rescaled = 0;
+  for (std::int64_t s = begin; s < end; ++s) {
+    double max_abs = 0.0;
+    for (int c = 0; c < rates; ++c) {
+      for (int side = 0; side < 2; ++side) {
+        child[side].assign(static_cast<std::size_t>(padded), 0.0);
+        for (int i = 0; i < padded; ++i) {
+          double& value = child[side][static_cast<std::size_t>(i)];
+          if (tip[side]) {
+            const int code = data.codes[side][static_cast<std::size_t>(s)];
+            value = data.ump[side][static_cast<std::size_t>((code * rates + c) * padded + i)];
+          } else {
+            for (int k = 0; k < states; ++k) {
+              value += data.cla[side][static_cast<std::size_t>(s * block + c * padded + k)] *
+                       data.ptable[side][static_cast<std::size_t>((c * states + k) * padded + i)];
+            }
+          }
+        }
+      }
+      for (int k = 0; k < padded; ++k) {
+        double value = 0.0;
+        for (int i = 0; i < states; ++i) {
+          value += child[0][static_cast<std::size_t>(i)] * child[1][static_cast<std::size_t>(i)] *
+                   data.wtable[static_cast<std::size_t>(i * padded + k)];
+        }
+        out[static_cast<std::size_t>(s * block + c * padded + k)] = value;
+        max_abs = std::max(max_abs, std::abs(value));
+      }
+    }
+    std::int32_t increment = 0;
+    if (max_abs < core::kScaleThreshold) {
+      for (int k = 0; k < block; ++k) {
+        out[static_cast<std::size_t>(s * block + k)] *= core::kScaleFactor;
+      }
+      increment = 1;
+      ++rescaled;
+    }
+    out_scale[static_cast<std::size_t>(s)] =
+        (tip[0] ? 0 : data.scale[0][static_cast<std::size_t>(s)]) +
+        (tip[1] ? 0 : data.scale[1][static_cast<std::size_t>(s)]) + increment;
+  }
+  return rescaled;
+}
+
+struct GeneralKernelCase {
+  simd::Isa isa;
+  int states;
+};
+
+class GeneralNewviewKernel : public ::testing::TestWithParam<GeneralKernelCase> {};
+
+TEST_P(GeneralNewviewKernel, MatchesScalarReference) {
+  const auto param = GetParam();
+  if (!simd::isa_supported(param.isa)) GTEST_SKIP() << "ISA unsupported";
+  const auto ops = core::get_general_kernel_ops(param.isa);
+  Rng rng(500 + static_cast<std::uint64_t>(param.states));
+  constexpr std::int64_t kSites = 29;
+  const GeneralNewviewData data = make_newview_data(param.states, kSites, rng);
+  const int block = data.dims.block();
+  constexpr double kSentinel = -7.5;
+
+  const bool modes[3][2] = {{false, false}, {true, false}, {true, true}};
+  const std::int64_t ranges[3][2] = {{0, kSites}, {3, 17}, {kSites - 1, kSites}};
+  int rescaled = 0;
+  for (const auto& mode : modes) {
+    for (const bool stream : {false, true}) {
+      for (const auto& range : ranges) {
+        AlignedDoubles out(static_cast<std::size_t>(kSites * block), kSentinel);
+        std::vector<std::int32_t> out_scale(static_cast<std::size_t>(kSites), -1);
+        std::vector<double> expected(out.begin(), out.end());
+        std::vector<std::int32_t> expected_scale = out_scale;
+        rescaled += reference_newview(data, mode, range[0], range[1], expected, expected_scale);
+
+        core::GNewviewCtx ctx;
+        ctx.parent_cla = out.data();
+        ctx.parent_scale = out_scale.data();
+        core::GChildInput* children[2] = {&ctx.left, &ctx.right};
+        for (int side = 0; side < 2; ++side) {
+          children[side]->cla = data.cla[side].data();
+          children[side]->scale = data.scale[side].data();
+          children[side]->codes = mode[side] ? data.codes[side].data() : nullptr;
+          children[side]->ptable = data.ptable[side].data();
+          children[side]->ump = data.ump[side].data();
+        }
+        ctx.wtable = data.wtable.data();
+        ctx.dims = data.dims;
+        ctx.begin = range[0];
+        ctx.end = range[1];
+        ctx.tuning.streaming_stores = stream;
+        ops.newview(ctx);
+
+        SCOPED_TRACE(::testing::Message() << "tips " << mode[0] << mode[1] << " stream " << stream
+                                          << " range [" << range[0] << ", " << range[1] << ")");
+        // Sites outside the range must keep their sentinels.
+        for (std::int64_t s = 0; s < kSites; ++s) {
+          const auto site = static_cast<std::size_t>(s);
+          EXPECT_EQ(out_scale[site], expected_scale[site]) << "site " << s;
+          const std::size_t first = site * static_cast<std::size_t>(block);
+          const std::size_t last = first + static_cast<std::size_t>(block);
+          // Relative to the site block's magnitude (lanes can cancel to ~0).
+          double magnitude = 0.0;
+          for (auto at = first; at < last; ++at) {
+            magnitude = std::max(magnitude, std::abs(expected[at]));
+          }
+          for (auto at = first; at < last; ++at) {
+            ASSERT_LE(std::abs(out[at] - expected[at]), 1e-13 * magnitude)
+                << "site " << s << " lane " << at - first;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(rescaled, 0) << "no site exercised the rescaling path";
+}
+
+std::vector<GeneralKernelCase> general_kernel_cases() {
+  std::vector<GeneralKernelCase> cases;
+  for (const auto isa : {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
+    // Padded 8, 8, 24, 40, 64: scalar cuts every row past 8 lanes into
+    // 8-vector chunks; AVX2 chunks 61 states (8 + 8 vectors) and 33 states
+    // (8 + a 2-vector remainder).
+    for (const int states : {4, 5, 20, 33, 61}) cases.push_back({isa, states});
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(IsaStates, GeneralNewviewKernel,
+                         ::testing::ValuesIn(general_kernel_cases()),
+                         [](const ::testing::TestParamInfo<GeneralKernelCase>& param_info) {
+                           return simd::to_string(param_info.param.isa) + "_S" +
+                                  std::to_string(param_info.param.states);
+                         });
 
 TEST(GeneralEngine, RejectsGeometryErrors) {
   Rng rng(29);

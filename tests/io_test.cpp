@@ -3,6 +3,8 @@
 
 #include <sstream>
 
+#include "src/bio/alignment.hpp"
+#include "src/bio/protein_alignment.hpp"
 #include "src/io/fasta.hpp"
 #include "src/io/newick.hpp"
 #include "src/io/parse_error.hpp"
@@ -66,6 +68,48 @@ TEST(FastaMalformed, AcceptsFullIupacAlphabetAndGaps) {
   const auto records = read_fasta(in);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].sequence.size(), 26u);
+}
+
+TEST(Fasta, ProteinRecordsRoundTripIntoAProteinAlignment) {
+  // Every amino-acid letter, including the ones outside the nucleotide
+  // alphabet (E F I L P Q Z), plus gaps and unknowns.
+  std::istringstream in(
+      ">p1\nACDEFGHIKLMNPQRSTVWY\n>p2\nARNDCQEGHILKMFPSTWYV\n>p3\nBZXLIPQFE-?ACDEFGHIK\n");
+  const auto records = read_fasta(in);
+  ASSERT_EQ(records.size(), 3u);
+  const bio::ProteinAlignment alignment(records);
+  ASSERT_EQ(alignment.taxon_count(), 3u);
+  ASSERT_EQ(alignment.site_count(), 20u);
+  const auto back = alignment.to_records();
+  std::ostringstream written;
+  write_fasta(written, back);
+  std::istringstream reread(written.str());
+  const auto again = read_fasta(reread);
+  ASSERT_EQ(again.size(), 3u);
+  for (std::size_t t = 0; t < 3; ++t) {
+    EXPECT_EQ(again[t].name, records[t].name);
+    EXPECT_EQ(again[t].sequence, back[t].sequence);
+  }
+  EXPECT_EQ(again[0].sequence, "ACDEFGHIKLMNPQRSTVWY");
+}
+
+TEST(Fasta, AminoAcidLetterInDnaFailsInTheBioLayer) {
+  // The reader accepts 'E' (an IUPAC amino-acid letter); the DNA encoder
+  // rejects it, naming the character, its position and the taxon.
+  std::istringstream in(">a\nACGT\n>b\nACET\n>c\nACGA\n");
+  const auto records = read_fasta(in);
+  ASSERT_EQ(records.size(), 3u);
+  try {
+    const bio::Alignment alignment(records);
+    FAIL() << "expected the DNA encoder to reject 'E'";
+  } catch (const ParseError&) {
+    FAIL() << "the FASTA reader must not be the layer that rejects 'E'";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("invalid DNA character 'E'"), std::string::npos) << what;
+    EXPECT_NE(what.find("position 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("taxon 'b'"), std::string::npos) << what;
+  }
 }
 
 TEST(FastaMalformed, TruncatedRecordNamesItsHeaderLine) {

@@ -59,6 +59,40 @@ TEST(Profile, DerivSumIsPureStreaming) {
   EXPECT_DOUBLE_EQ(profile.bytes_written, 128.0);
 }
 
+TEST(Profile, GeneralNewviewCountsPaddedLanes) {
+  // Protein: 20 states pad to 24 lanes; 4 rates × 20 rows × 24 lanes × 2
+  // flops = 3,840 per transform, three transforms plus 96 for x3.
+  const auto inner = general_kernel_profile(TraceKernel::kNewview, 20, 4, false, false);
+  EXPECT_DOUBLE_EQ(inner.flops, 3.0 * 3840.0 + 96.0);
+  EXPECT_DOUBLE_EQ(inner.bytes_read, 2.0 * (96.0 * 8.0 + 4.0));
+  EXPECT_DOUBLE_EQ(inner.bytes_written, 96.0 * 8.0 + 4.0);
+  const auto mixed = general_kernel_profile(TraceKernel::kNewview, 20, 4, true, false);
+  EXPECT_DOUBLE_EQ(mixed.flops, 2.0 * 3840.0 + 96.0);
+  EXPECT_DOUBLE_EQ(mixed.bytes_read, 1.0 + 96.0 * 8.0 + 4.0);
+  const auto tips = general_kernel_profile(TraceKernel::kNewview, 20, 4, true, true);
+  EXPECT_DOUBLE_EQ(tips.flops, 3840.0 + 96.0);
+  EXPECT_DOUBLE_EQ(tips.bytes_read, 2.0);
+  // Codon-sized rows pad to 64 lanes.
+  EXPECT_DOUBLE_EQ(general_kernel_profile(TraceKernel::kNewview, 61, 1, true, true).flops,
+                   2.0 * 61.0 * 64.0 + 64.0);
+}
+
+TEST(Profile, GeneralStreamingKernelsScaleWithTheBlock) {
+  const auto sum = general_kernel_profile(TraceKernel::kDerivSum, 20, 4, false, false);
+  EXPECT_DOUBLE_EQ(sum.flops, 96.0);
+  EXPECT_DOUBLE_EQ(sum.bytes_read, 2.0 * 96.0 * 8.0);
+  EXPECT_DOUBLE_EQ(sum.bytes_written, 96.0 * 8.0);
+  const auto core_profile = general_kernel_profile(TraceKernel::kDerivCore, 20, 4, false, false);
+  EXPECT_DOUBLE_EQ(core_profile.flops, 6.0 * 96.0 + 10.0);
+  EXPECT_DOUBLE_EQ(core_profile.bytes_written, 0.0);
+  const auto eval_tip = general_kernel_profile(TraceKernel::kEvaluate, 20, 4, false, true);
+  EXPECT_DOUBLE_EQ(eval_tip.flops, 2.0 * 96.0 + 25.0);
+  EXPECT_DOUBLE_EQ(eval_tip.bytes_read, 96.0 * 8.0 + 4.0 + 1.0);
+  // At 4 states the general path pads to 8 lanes: twice the DNA block.
+  EXPECT_DOUBLE_EQ(general_kernel_profile(TraceKernel::kDerivSum, 4, 4, false, false).bytes_written,
+                   2.0 * kernel_profile(TraceKernel::kDerivSum, false, false).bytes_written);
+}
+
 core::KernelTrace single_call_trace(TraceKernel kernel, std::int64_t sites) {
   core::KernelTrace trace;
   trace.record(kernel, false, false, sites);

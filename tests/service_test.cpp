@@ -355,6 +355,52 @@ TEST_F(ServiceTest, MemoryPressureDegradesTheGrantNotTheAnswer) {
   EXPECT_EQ(service.tenant_stats("acme").degraded, 1);
 }
 
+TEST_F(ServiceTest, DerivedDegradeFloorNeverGrantsBelowTheMinimumWorkingSet) {
+  // Default floor (a quarter of the request): the squeezed job asks for 4
+  // buffers while only 2 are free.  A quarter is 1 buffer, but the engine
+  // needs 3 (its minimum working set), so a degraded grant of 2 would fail
+  // the job; the clamped floor makes it wait for the holder instead.
+  const std::int64_t buffer = buffer_bytes();
+  const std::int64_t holder_want = static_cast<std::int64_t>(base_tree_.inner_count()) * buffer;
+  const std::int64_t want = 4 * buffer;
+  ASSERT_EQ(core::min_working_set_bytes(static_cast<std::int64_t>(patterns_.pattern_count()),
+                                        core::kSiteBlock, base_tree_.inner_count()),
+            3 * buffer);
+  ServiceConfig config;
+  config.executors = 2;
+  config.cla_budget_bytes = holder_want + 2 * buffer;
+  EvaluationService service(config);
+  service.register_tenant("acme", TenantQuota{.max_in_flight = 8});
+
+  Gate gate;
+  JobRequest holder = make_request("acme", JobKind::kEvaluate);
+  holder.options.cla_budget_bytes = holder_want;
+  holder.fault_injector = gate.injector();
+  const std::int64_t holder_id = service.submit(holder);
+  gate.entered.get_future().wait();
+
+  JobRequest squeezed = make_request("acme", JobKind::kEvaluate);
+  squeezed.options.cla_budget_bytes = want;
+  const std::int64_t squeezed_id = service.submit(squeezed);
+  // Both jobs dispatched: the squeezed one is now in (or past) its budget
+  // reservation.  It must still be parked, not failed.
+  for (int i = 0; i < 2000 && service.stats().running < 2; ++i) std::this_thread::sleep_for(1ms);
+  std::this_thread::sleep_for(50ms);
+  EXPECT_EQ(service.stats().terminal, 0);
+
+  gate.release.set_value();
+  const JobResult result = service.wait(squeezed_id);
+  ASSERT_EQ(result.status, JobStatus::kOk) << result.error;
+  EXPECT_FALSE(result.degraded);
+  EXPECT_EQ(result.cla_bytes_granted, want);
+  EXPECT_EQ(result.log_likelihood, solo(JobKind::kEvaluate));
+  EXPECT_EQ(service.wait(holder_id).status, JobStatus::kOk);
+
+  service.drain();
+  EXPECT_EQ(service.stats().budget_in_use, 0);
+  EXPECT_EQ(service.tenant_stats("acme").failed, 0);
+}
+
 TEST_F(ServiceTest, CorruptionEscalationsAreContainedRetriedAndBounded) {
   ServiceConfig config;
   config.executors = 1;
