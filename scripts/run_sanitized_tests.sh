@@ -73,7 +73,10 @@ cmake -B "${build}" -S "${root}" \
 # tiles over padded state rows and cuts wide rows into lane chunks, and the
 # CAT kernels index per-site rate tables — a chunk offset or padding lane
 # one past the row is an out-of-bounds read only ASan sees.
-targets=(minimpi_test parallel_test faults_test elastic_test checkpoint_test examl_test site_repeats_test obs_test partitioned_test sdc_test gradient_test stream_test c_api_test memory_test service_test general_test cat_test)
+# tree_test and search_test ride along: the bit-sliced parsimony indexes
+# rows by plane x word over padded 64-pattern words, where an out-of-bounds
+# read hides.
+targets=(minimpi_test parallel_test faults_test elastic_test checkpoint_test examl_test site_repeats_test obs_test partitioned_test sdc_test gradient_test stream_test c_api_test memory_test service_test general_test cat_test tree_test search_test)
 cmake --build "${build}" -j "$(nproc)" --target "${targets[@]}"
 
 status=0

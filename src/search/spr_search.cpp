@@ -155,9 +155,13 @@ double spr_round(core::Evaluator& engine, tree::Tree& tree, int radius,
       double best_lnl = current_lnl;
       const auto candidates = tree::insertion_candidates(record, radius);
       for (tree::Slot* e : candidates) {
-        tree::Slot* other = e->back;
+        // Only p's CLA goes stale.  The root (p->next, e) also needs the
+        // CLAs behind e and behind e's old partner, whose subtrees this
+        // graft leaves untouched; every other CLA computed while grafted
+        // points at that root and so excludes the pruned subtree, and
+        // ungraft restores e's length exactly (two halves of one split).
         tree::regraft(tree, record, e);
-        invalidate_around(engine, tree, {e->node_id, other->node_id, p->node_id});
+        engine.invalidate_node(p->node_id);
 
         const double lnl = engine.log_likelihood(p->next);
         ++result.evaluated_insertions;
@@ -167,7 +171,7 @@ double spr_round(core::Evaluator& engine, tree::Tree& tree, int radius,
         }
 
         tree::ungraft(tree, record);
-        invalidate_around(engine, tree, {e->node_id, other->node_id, p->node_id});
+        engine.invalidate_node(p->node_id);
       }
 
       if (best_edge != nullptr && best_lnl > current_lnl + 1e-9) {

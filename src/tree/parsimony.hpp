@@ -2,8 +2,9 @@
 //
 // RAxML-Light and ExaML start their ML searches from randomized
 // stepwise-addition parsimony trees: taxa are added in random order, each at
-// the position minimizing the Fitch parsimony score.  The 4-bit DNA encoding
-// makes Fitch a pair of bitwise ops per pattern.
+// the position minimizing the Fitch parsimony score.  Fitch runs bit-sliced,
+// 64 patterns per word operation, and each candidate position is scored
+// from cached subtree state sets instead of a full re-score (DESIGN.md §17).
 #pragma once
 
 #include <cstdint>

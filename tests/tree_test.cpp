@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <limits>
+#include <numeric>
 #include <set>
 
+#include "src/bio/protein_alignment.hpp"
 #include "src/tree/moves.hpp"
 #include "src/tree/parsimony.hpp"
 #include "src/tree/splits.hpp"
@@ -277,6 +281,206 @@ TEST(Parsimony, StartingTreeIsDeterministicGivenSeed) {
   Tree ta = parsimony_starting_tree(patterns, a);
   Tree tb = parsimony_starting_tree(patterns, b);
   EXPECT_EQ(robinson_foulds(ta, tb), 0);
+}
+
+// Reference for the bit-sliced parsimony: the recursive byte-per-pattern
+// Fitch pass, re-run over the whole tree for every candidate insertion.
+namespace naive {
+
+std::vector<bio::DnaCode> fitch_down(const Slot* slot, const bio::PatternSet& patterns,
+                                     std::uint64_t& cost) {
+  if (slot->is_tip()) return patterns.tip_rows[static_cast<std::size_t>(slot->node_id)];
+  const auto s1 = fitch_down(slot->child1(), patterns, cost);
+  const auto s2 = fitch_down(slot->child2(), patterns, cost);
+  std::vector<bio::DnaCode> out(patterns.pattern_count());
+  for (std::size_t p = 0; p < out.size(); ++p) {
+    const auto inter = static_cast<bio::DnaCode>(s1[p] & s2[p]);
+    if (inter != 0) {
+      out[p] = inter;
+    } else {
+      out[p] = static_cast<bio::DnaCode>(s1[p] | s2[p]);
+      cost += patterns.weights[p];
+    }
+  }
+  return out;
+}
+
+std::uint64_t score_from(const Slot* anchor_tip, const bio::PatternSet& patterns) {
+  std::uint64_t cost = 0;
+  const auto states = fitch_down(anchor_tip->back, patterns, cost);
+  const auto& anchor_row = patterns.tip_rows[static_cast<std::size_t>(anchor_tip->node_id)];
+  for (std::size_t p = 0; p < patterns.pattern_count(); ++p) {
+    if ((states[p] & anchor_row[p]) == 0) cost += patterns.weights[p];
+  }
+  return cost;
+}
+
+void collect_edges(Slot* slot, std::vector<Slot*>& out) {
+  out.push_back(slot);
+  if (slot->back->is_tip()) return;
+  collect_edges(slot->back->next, out);
+  collect_edges(slot->back->next->next, out);
+}
+
+Tree starting_tree(const bio::PatternSet& patterns, Rng& rng) {
+  const int ntaxa = static_cast<int>(patterns.taxon_count());
+  Tree tree(ntaxa);
+  std::vector<int> order(static_cast<std::size_t>(ntaxa));
+  std::iota(order.begin(), order.end(), 0);
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.below(i)]);
+  }
+  tree.connect(tree.tip(order[0]), tree.inner_slot(0, 0), kDefaultBranchLength);
+  tree.connect(tree.tip(order[1]), tree.inner_slot(0, 1), kDefaultBranchLength);
+  tree.connect(tree.tip(order[2]), tree.inner_slot(0, 2), kDefaultBranchLength);
+  for (int i = 3; i < ntaxa; ++i) {
+    Slot* tip = tree.tip(order[static_cast<std::size_t>(i)]);
+    Slot* anchor = tree.tip(order[0]);
+    std::vector<Slot*> edges;
+    collect_edges(anchor, edges);
+    Slot* hub0 = tree.inner_slot(i - 2, 0);
+    Slot* hub1 = tree.inner_slot(i - 2, 1);
+    Slot* hub2 = tree.inner_slot(i - 2, 2);
+    Slot* best_edge = nullptr;
+    std::uint64_t best_score = std::numeric_limits<std::uint64_t>::max();
+    for (Slot* edge : edges) {
+      Slot* other = edge->back;
+      const double length = edge->length;
+      tree.disconnect(edge);
+      tree.connect(edge, hub0, length * 0.5);
+      tree.connect(other, hub1, length * 0.5);
+      tree.connect(tip, hub2, kDefaultBranchLength);
+      const std::uint64_t score = score_from(anchor, patterns);
+      if (score < best_score) {
+        best_score = score;
+        best_edge = edge;
+      }
+      tree.disconnect(edge);
+      tree.disconnect(other);
+      tree.disconnect(tip);
+      tree.connect(edge, other, length);
+    }
+    Slot* other = best_edge->back;
+    const double length = best_edge->length;
+    tree.disconnect(best_edge);
+    tree.connect(best_edge, hub0, length * 0.5);
+    tree.connect(other, hub1, length * 0.5);
+    tree.connect(tip, hub2, kDefaultBranchLength);
+  }
+  return tree;
+}
+
+}  // namespace naive
+
+/// Slot-for-slot, bit-for-bit tree equality.
+void expect_identical_trees(const Tree& a, const Tree& b) {
+  ASSERT_EQ(a.slot_count(), b.slot_count());
+  for (int s = 0; s < a.slot_count(); ++s) {
+    ASSERT_EQ(a.slot(s)->back->slot_index, b.slot(s)->back->slot_index) << "slot " << s;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a.slot(s)->length),
+              std::bit_cast<std::uint64_t>(b.slot(s)->length))
+        << "slot " << s;
+  }
+}
+
+enum class Codes { kDna, kProtein };
+
+/// Pattern rows drawn directly, so pattern counts and weights are exact:
+/// DNA mixes unambiguous bases, IUPAC ambiguity sets and gaps; protein uses
+/// the index codes 0..22 (Ala = 0 included).  Weights are mostly 1..3, one
+/// in eight 0 (bootstrap resamples) and, with `heavy`, one in eight > 2^16.
+bio::PatternSet random_pattern_set(int ntaxa, std::size_t npatterns, Codes codes, bool heavy,
+                                   Rng& rng) {
+  bio::PatternSet patterns;
+  patterns.tip_rows.assign(static_cast<std::size_t>(ntaxa), {});
+  for (auto& row : patterns.tip_rows) {
+    for (std::size_t p = 0; p < npatterns; ++p) {
+      std::uint64_t code = 0;
+      if (codes == Codes::kProtein) {
+        code = rng.below(bio::kAaCodeCount);
+      } else {
+        const std::uint64_t kind = rng.below(10);
+        code = kind < 7 ? std::uint64_t{1} << rng.below(4)
+                        : (kind < 9 ? 1 + rng.below(14) : bio::kGapCode);
+      }
+      row.push_back(static_cast<bio::DnaCode>(code));
+    }
+  }
+  for (std::size_t p = 0; p < npatterns; ++p) {
+    const std::uint64_t kind = rng.below(8);
+    const std::uint64_t weight = kind == 0             ? 0
+                                 : (kind == 1 && heavy) ? 70000 + rng.below(3)
+                                                        : 1 + rng.below(3);
+    patterns.weights.push_back(static_cast<std::uint32_t>(weight));
+  }
+  return patterns;
+}
+
+void expect_matches_naive(const bio::PatternSet& patterns, std::uint64_t seed) {
+  Rng rng_fast(seed), rng_naive(seed);
+  const Tree fast = parsimony_starting_tree(patterns, rng_fast);
+  const Tree reference = naive::starting_tree(patterns, rng_naive);
+  expect_identical_trees(fast, reference);
+  EXPECT_EQ(rng_fast(), rng_naive());  // same number of draws
+  EXPECT_EQ(fitch_score(fast, patterns), naive::score_from(reference.tip(0), patterns));
+}
+
+TEST(ParsimonyOracle, StartingTreeIsIdenticalToNaiveStepwiseAddition) {
+  Rng rng(71);
+  std::uint64_t seed = 1000;
+  for (const Codes codes : {Codes::kDna, Codes::kProtein}) {
+    for (const int ntaxa : {3, 4, 5, 9, 17, 40}) {
+      // 1,100 patterns span more than one 1,024-pattern block.
+      for (const std::size_t npatterns : {0u, 1u, 63u, 64u, 65u, 200u, 1100u}) {
+        for (const bool heavy : {false, true}) {
+          SCOPED_TRACE(testing::Message() << "protein=" << (codes == Codes::kProtein)
+                                          << " ntaxa=" << ntaxa << " patterns=" << npatterns
+                                          << " heavy=" << heavy);
+          const auto patterns = random_pattern_set(ntaxa, npatterns, codes, heavy, rng);
+          expect_matches_naive(patterns, ++seed);
+        }
+      }
+    }
+  }
+}
+
+TEST(ParsimonyOracle, StartingTreeIsIdenticalOnCompressedAlignments) {
+  Rng rng(72);
+  for (int trial = 0; trial < 6; ++trial) {
+    const int ntaxa = 6 + 6 * trial;
+    // DNA through the real compressor: IUPAC ambiguity codes and gaps.
+    const auto dna = testutil::random_alignment(ntaxa, 150, rng, 0.15);
+    expect_matches_naive(bio::compress_patterns(dna), 500 + static_cast<std::uint64_t>(trial));
+
+    std::vector<std::vector<bio::AaCode>> rows(static_cast<std::size_t>(ntaxa));
+    for (auto& row : rows) {
+      for (int s = 0; s < 120; ++s) {
+        row.push_back(static_cast<bio::AaCode>(rng.below(bio::kAaCodeCount)));
+      }
+    }
+    const bio::ProteinAlignment protein(testutil::taxon_names(ntaxa), std::move(rows));
+    expect_matches_naive(bio::compress_protein_patterns(protein),
+                         600 + static_cast<std::uint64_t>(trial));
+  }
+}
+
+TEST(ParsimonyOracle, FitchScoreMatchesNaiveFromEveryAnchor) {
+  Rng rng(73);
+  for (const Codes codes : {Codes::kDna, Codes::kProtein}) {
+    for (const int ntaxa : {3, 6, 13, 30}) {
+      for (const std::size_t npatterns : {0u, 1u, 64u, 130u, 1100u}) {
+        SCOPED_TRACE(testing::Message() << "protein=" << (codes == Codes::kProtein)
+                                        << " ntaxa=" << ntaxa << " patterns=" << npatterns);
+        const auto patterns = random_pattern_set(ntaxa, npatterns, codes, true, rng);
+        const Tree tree = Tree::random(ntaxa, rng);
+        const std::uint64_t score = fitch_score(tree, patterns);
+        // Root independence: the naive score anchored at any tip agrees.
+        for (int anchor = 0; anchor < ntaxa; ++anchor) {
+          EXPECT_EQ(naive::score_from(tree.tip(anchor), patterns), score) << "anchor " << anchor;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
